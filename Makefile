@@ -57,9 +57,10 @@ bench-obs:
 	$(GO) run ./cmd/jsk-bench -obs -out BENCH_obs.json
 
 # bench-serve load-tests the jsk-serve daemon: sustained throughput and
-# p50/p95/p99 latency, then an overload run on a pool-1 queue-1 server
-# that must shed load (429s) while every served response stays
-# byte-identical to the unloaded reference. Writes BENCH_serve.json.
+# p50/p95/p99 latency, an overload run on a pool-1 queue-1 server that
+# must shed load (429s), and the sustained run with the telemetry plane
+# on, while every served response stays byte-identical to the unloaded
+# plane-off reference. Writes BENCH_serve.json.
 bench-serve:
 	$(GO) run ./cmd/jsk-bench -serve -out BENCH_serve.json
 

@@ -9,10 +9,11 @@
 // checking the rendered results are byte-identical either way.
 //
 // With -serve it benchmarks the jsk-serve daemon: sustained-load
-// throughput and client-observed latency percentiles, plus a
-// deliberate overload run against a pool-1 queue-1 server showing the
-// shed rate rise while every served response stays byte-identical to
-// the unloaded reference.
+// throughput and client-observed latency percentiles, a deliberate
+// overload run against a pool-1 queue-1 server showing the shed rate
+// rise, and the sustained load again with the telemetry plane on,
+// while every served response stays byte-identical to the unloaded
+// plane-off reference.
 //
 // Usage:
 //

@@ -42,13 +42,6 @@ var goroutineSanctionedFuncs = map[string]map[string]string{
 		// channel after the server drains.
 		"smokeTelemetry": "event-stream subscriber joined on its result channel before return",
 	},
-	"internal/telemetry": {
-		// The plane's batching flusher: one goroutine draining a bounded
-		// channel of telemetry items, joined (<-p.done) by Plane.Close
-		// before the hub shuts down. It owns the aggregation maps
-		// exclusively; producers only send.
-		"start": "single flusher goroutine over a bounded queue, joined by Close",
-	},
 	"internal/expr/runner": {
 		// The sanctioned worker-pool bridge between the deterministic
 		// world and OS threads (also annotated in source; listed here so

@@ -291,3 +291,18 @@ func TestTraceKindStrings(t *testing.T) {
 		t.Error("invalid kind should be unknown")
 	}
 }
+
+// TestObsOnlyKinds: exactly the five observability kinds report
+// ObsOnly, resolved by name the way the service's trace strip does.
+func TestObsOnlyKinds(t *testing.T) {
+	want := map[string]bool{"timer-fired": true, "clock-read": true, "message-callback": true, "frame-tick": true, "load-done": true}
+	for k := TraceWorkerCreated; k <= TraceAccess; k++ {
+		got, ok := KindByName(k.String())
+		if !ok || got != k {
+			t.Fatalf("KindByName(%q) = %v, %v", k.String(), got, ok)
+		}
+		if k.ObsOnly() != want[k.String()] {
+			t.Errorf("%s.ObsOnly() = %v", k, k.ObsOnly())
+		}
+	}
+}

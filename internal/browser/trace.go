@@ -35,7 +35,8 @@ const (
 	// They mark user-callback entries and clock readings — the raw
 	// material the forensics layer (internal/obs) reconstructs
 	// measurement harnesses from. Emission never advances simulated
-	// time, so execution is identical with obs on or off.
+	// time, so execution is identical with obs on or off. ObsOnly
+	// relies on these five being contiguous.
 	TraceTimerFired
 	TraceClockRead
 	TraceMessageCallback
@@ -137,6 +138,10 @@ func KindByName(name string) (TraceKind, bool) {
 	k, ok := traceKindByName[name]
 	return k, ok
 }
+
+// ObsOnly reports whether k is an observability kind, emitted only when
+// Options.ObsEvents is set.
+func (k TraceKind) ObsOnly() bool { return k >= TraceTimerFired && k <= TraceLoadDone }
 
 // TraceEvent is one native-layer occurrence.
 type TraceEvent struct {

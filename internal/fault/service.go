@@ -48,7 +48,7 @@ type ServiceFaults struct {
 	ScrapeRate float64
 	// SlowEventsRate is the probability a client subscribes to
 	// /v1/events and consumes it slowly. A lagging subscriber must never
-	// apply backpressure to the flusher or to eval workers; it falls
+	// apply backpressure to the plane or to eval workers; it falls
 	// behind the replay ring and receives an explicit gap event.
 	SlowEventsRate float64
 }

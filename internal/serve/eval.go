@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"jskernel/internal/attack"
+	"jskernel/internal/browser"
 	"jskernel/internal/defense"
 	"jskernel/internal/hb"
 	"jskernel/internal/obs"
@@ -116,33 +117,32 @@ type evalCapture struct {
 
 // evaluate runs one resolved cell and assembles the wire response. rt
 // binds the worker's pooled environment and the request's cancellation
-// hook into every environment the evaluation builds; tel, when
-// non-nil, receives the run's kernel metrics for /statsz aggregation;
-// cap, when non-nil, additionally captures the streaming-forensics view
-// for the observability plane.
+// hook into every environment the evaluation builds; cap, when
+// non-nil, captures the run's kernel metrics and streaming-forensics
+// view for the observability plane.
 //
 // A canceled run never reaches response assembly: the worker checks the
 // request context after evaluate returns and discards the result — a
 // simulation abandoned mid-run has partial, meaningless samples, and
 // returning them would be exactly the silent wrong answer this layer
 // exists to prevent.
-func evaluate(cl *cell, rt *defense.Runtime, tel func(*trace.Metrics), cap *evalCapture) (*Response, *Error) {
+func evaluate(cl *cell, rt *defense.Runtime, cap *evalCapture) (*Response, *Error) {
 	d := cl.defense.WithRuntime(rt)
 
 	// One trace session serves every consumer of this request: the
 	// response's validated trace summary (retained records), the
-	// forensic re-judgement (collector + detectors), the server's
-	// telemetry aggregation (metrics registry), and the live plane's
-	// streaming forensics (capture). Tracing and obs events never
-	// perturb execution — the PR 5 pin — so attaching any subset
-	// leaves the response bytes unchanged.
+	// forensic re-judgement (collector + detectors), and the live
+	// plane's kernel aggregate and streaming forensics (capture).
+	// Tracing and obs events never perturb execution — the
+	// obs-neutrality pin — so attaching any subset leaves the response
+	// bytes unchanged.
 	var sess *trace.Session
 	var col *obs.Collector
 	var det *obs.Detectors
 	var races *hb.Detector
 	wantTrace := cl.req.Trace
 	wantForensics := cl.req.Forensics || cap != nil
-	if wantTrace || wantForensics || tel != nil {
+	if wantTrace || wantForensics {
 		sess = trace.NewSession()
 		sess.SetRetain(wantTrace)
 		if wantForensics {
@@ -185,9 +185,6 @@ func evaluate(cl *cell, rt *defense.Runtime, tel func(*trace.Metrics), cap *eval
 
 	if sess != nil {
 		sess.Close()
-		if tel != nil {
-			tel(sess.Metrics())
-		}
 	}
 	if wantTrace {
 		recs := sess.Records()
@@ -197,8 +194,8 @@ func evaluate(cl *cell, rt *defense.Runtime, tel func(*trace.Metrics), cap *eval
 			// must read exactly as it would with the plane off, so the
 			// obs-only records are stripped before validation. Obs emission
 			// never advances simulated time or perturbs other records (the
-			// PR 5 pin), so the remainder is byte-identical to a plane-off
-			// run's record set.
+			// obs-neutrality pin), so the remainder is byte-identical to a
+			// plane-off run's record set.
 			recs = stripObsRecords(recs)
 		}
 		rep, err := trace.Validate(recs)
@@ -244,25 +241,16 @@ func evaluate(cl *cell, rt *defense.Runtime, tel func(*trace.Metrics), cap *eval
 	return resp, nil
 }
 
-// obsOnlyNativeKinds are the native-record API names emitted solely
-// when a defense runs with obs events on (browser.TraceTimerFired and
-// friends). Everything else in the record stream is present with obs
-// off too.
-var obsOnlyNativeKinds = map[string]bool{
-	"timer-fired":      true,
-	"clock-read":       true,
-	"message-callback": true,
-	"frame-tick":       true,
-	"load-done":        true,
-}
-
 // stripObsRecords removes the obs-only native records, recovering the
-// record set an obs-off run of the same cell would have produced.
+// record set an obs-off run of the same cell would have produced. It
+// filters in place: recs is the session's private copy.
 func stripObsRecords(recs []trace.Record) []trace.Record {
-	out := make([]trace.Record, 0, len(recs))
+	out := recs[:0]
 	for _, r := range recs {
-		if r.Op == trace.OpNative && obsOnlyNativeKinds[r.API] {
-			continue
+		if r.Op == trace.OpNative {
+			if k, ok := browser.KindByName(r.API); ok && k.ObsOnly() {
+				continue
+			}
 		}
 		out = append(out, r)
 	}

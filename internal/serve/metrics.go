@@ -2,18 +2,14 @@ package serve
 
 import (
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
-
-	"jskernel/internal/trace"
 )
 
-// stats is the server's operational counter set. Service-layer counters
-// are lock-free atomics updated on hot paths; the kernel aggregate is a
-// mutex-guarded fold of per-request trace metrics (telemetry mode only).
-// None of this feeds back into evaluation — /statsz observes the server,
-// it never steers it, which keeps responses independent of history.
+// stats is the server's operational counter set: lock-free atomics
+// updated on hot paths. None of this feeds back into evaluation —
+// /statsz observes the server, it never steers it, which keeps
+// responses independent of history.
 type stats struct {
 	admitted           atomic.Uint64
 	completed          atomic.Uint64
@@ -25,14 +21,12 @@ type stats struct {
 	canceled           atomic.Uint64
 	internalErrors     atomic.Uint64
 	envReplaced        atomic.Uint64
-
-	kernelMu sync.Mutex
-	kernel   KernelTotals
 }
 
-// KernelTotals aggregates the kernel metrics registries of every traced
-// evaluation (Config.Telemetry). Virtual-time totals accumulate across
-// requests; they share no clock with the service layer's wall time.
+// KernelTotals is the /statsz view of the plane's kernel aggregate
+// (Config.Telemetry): the scalar totals over every completed
+// evaluation. Virtual-time totals accumulate across requests; they
+// share no clock with the service layer's wall time.
 type KernelTotals struct {
 	Runs               uint64 `json:"runs"`
 	Installs           uint64 `json:"installs"`
@@ -46,28 +40,6 @@ type KernelTotals struct {
 	PolicyDecisions    uint64 `json:"policy_decisions"`
 	InterposeCrossings uint64 `json:"interpose_crossings"`
 	InterposeVirtual   uint64 `json:"interpose_virtual"`
-}
-
-// absorbKernel folds one request's kernel metrics into the totals.
-func (st *stats) absorbKernel(m *trace.Metrics) {
-	if m == nil {
-		return
-	}
-	st.kernelMu.Lock()
-	defer st.kernelMu.Unlock()
-	k := &st.kernel
-	k.Runs++
-	k.Installs += m.Installs
-	k.Enqueued += m.Enqueued
-	k.Dispatched += m.Dispatched
-	k.Shed += m.Shed
-	k.Cancelled += m.Cancelled
-	k.Expired += m.Expired
-	k.Panics += m.Panics
-	k.Quarantines += m.Quarantines
-	k.PolicyDecisions += m.PolicyDecisions
-	k.InterposeCrossings += m.InterposeCrossings
-	k.InterposeVirtual += uint64(m.InterposeVirtual)
 }
 
 // Stats is the /statsz wire format (and the programmatic snapshot used
@@ -113,11 +85,22 @@ func (s *Server) Snapshot() Stats {
 		Draining:           s.Draining(),
 		EwmaServiceMs:      time.Duration(s.ewmaNs.Load()).Milliseconds(),
 	}
-	if s.cfg.Telemetry {
-		s.stats.kernelMu.Lock()
-		k := s.stats.kernel
-		s.stats.kernelMu.Unlock()
-		snap.Kernel = &k
+	if s.plane != nil {
+		a := s.plane.KernelSnapshot()
+		snap.Kernel = &KernelTotals{
+			Runs:               a.Requests,
+			Installs:           a.Installs,
+			Enqueued:           a.Enqueued,
+			Dispatched:         a.Dispatched,
+			Shed:               a.Shed,
+			Cancelled:          a.Cancelled,
+			Expired:            a.Expired,
+			Panics:             a.Panics,
+			Quarantines:        a.Quarantines,
+			PolicyDecisions:    a.PolicyDecisions,
+			InterposeCrossings: a.InterposeCrossings,
+			InterposeVirtual:   a.InterposeVirtualNs,
+		}
 	}
 	return snap
 }

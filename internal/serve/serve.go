@@ -18,7 +18,6 @@ import (
 	"jskernel/internal/defense"
 	"jskernel/internal/kernel"
 	"jskernel/internal/telemetry"
-	"jskernel/internal/trace"
 )
 
 // The service layer deliberately lives on the wall clock — deadlines,
@@ -56,18 +55,13 @@ type Config struct {
 	// Defaults: 3 / 2s.
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
-	// Telemetry attaches a retain-off trace session to every evaluation
-	// and aggregates its kernel metrics registry into /statsz. It also
-	// mounts the live observability plane: per-request spans and
-	// streaming forensics on /v1/events, kernel aggregates on /metricsz,
-	// the cross-request ledger on /ledgerz. Tracing never perturbs a
-	// run, so responses are byte-identical either way.
+	// Telemetry mounts the live observability plane: every evaluation
+	// runs under a retain-off trace session whose kernel metrics fold
+	// into one aggregate, served on /statsz and /metricsz; per-request
+	// spans and streaming forensics go to /v1/events, the cross-request
+	// ledger to /ledgerz. Tracing never perturbs a run, so responses
+	// are byte-identical either way.
 	Telemetry bool
-	// TelemetrySync disables the plane's batching flusher, applying
-	// every telemetry item inline on the submitting goroutine. This is
-	// the un-batched baseline jsk-bench -serve quantifies the flusher
-	// against; production keeps it off.
-	TelemetrySync bool
 	// TelemetryEventRing overrides the /v1/events replay ring size.
 	// Consumers that fall behind the ring receive an explicit gap event
 	// rather than applying backpressure; chaos tests shrink the ring to
@@ -213,7 +207,6 @@ func New(cfg Config) *Server {
 	s.breaker.log = s.cfg.log()
 	if cfg.Telemetry {
 		s.plane = telemetry.NewPlane(telemetry.PlaneConfig{
-			Sync:      cfg.TelemetrySync,
 			EventRing: cfg.TelemetryEventRing,
 			Ledger:    telemetry.DefaultLedgerConfig(),
 		})
@@ -304,15 +297,11 @@ func (s *Server) serveJob(j *job, env *kernel.Environment) (next *kernel.Environ
 			return j.ctx.Err() != nil
 		},
 	}
-	var tel func(*trace.Metrics)
-	if s.cfg.Telemetry {
-		tel = s.stats.absorbKernel
-	}
 	var cap *evalCapture
 	if s.plane != nil {
 		cap = &evalCapture{}
 	}
-	resp, eerr := evaluate(j.cl, rt, tel, cap)
+	resp, eerr := evaluate(j.cl, rt, cap)
 	evalNs := time.Since(start).Nanoseconds()
 	if j.ctx.Err() != nil {
 		// Canceled mid-run: the simulation was abandoned and whatever
@@ -329,7 +318,7 @@ func (s *Server) serveJob(j *job, env *kernel.Environment) (next *kernel.Environ
 		return env
 	}
 	out := jobOutcome{resp: resp, queueNs: queueNs, evalNs: evalNs}
-	if s.plane != nil && cap != nil && cap.metrics != nil {
+	if cap != nil {
 		// The response is already fully assembled: everything submitted
 		// from here on is pure data for the plane and cannot change what
 		// the client receives.
@@ -600,8 +589,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		// Before the HTTP listener: closing the plane ends the event hub,
 		// which unblocks /v1/events handlers so httpSrv.Shutdown can
 		// finish. A scrape racing the drain still gets a complete,
-		// parseable exposition — the plane applies post-close submissions
-		// inline and never drops them.
+		// parseable exposition — the plane still folds post-close
+		// submissions and never drops them.
 		s.plane.Close()
 	}
 	if s.httpSrv != nil {

@@ -388,8 +388,8 @@ func smokeTelemetry(out io.Writer, ledgerReport string) error {
 		}
 	}
 
-	// Settle the plane, pull the ledger, keep it as the CI artifact.
-	s.Plane().Barrier()
+	// Pull the ledger and keep it as the CI artifact. Every probe was
+	// folded before its response was sent, so the ledger is settled.
 	resp, err := http.Get(client.BaseURL + "/ledgerz")
 	if err != nil {
 		return fmt.Errorf("ledgerz: %v", err)

@@ -58,14 +58,10 @@ func captureFragments(det *obs.Detectors, races *hb.Detector) []telemetry.ClassF
 }
 
 // handleMetricsz serves the OpenMetrics exposition: service counters
-// always, kernel/span/plane aggregates when the plane is mounted. The
-// ledger and aggregates are settled through a plane barrier first —
-// the barrier waits on the flusher, never the other way around, so a
-// scrape can not block an evaluation.
+// always, kernel/span/plane aggregates when the plane is mounted.
 func (s *Server) handleMetricsz(w http.ResponseWriter, _ *http.Request) {
 	fams := s.serviceFamilies()
 	if s.plane != nil {
-		s.plane.Barrier()
 		agg := s.plane.KernelSnapshot()
 		sp := s.plane.SpanSnapshot()
 		fams = append(fams, agg.Families()...)
@@ -139,15 +135,14 @@ func (s *Server) handleVersionz(w http.ResponseWriter, _ *http.Request) {
 	s.writeJSON(w, http.StatusOK, v)
 }
 
-// handleLedgerz serves the cross-request forensics ledger report,
-// settled through a plane barrier so a fixed request sequence always
-// reports identical bytes.
+// handleLedgerz serves the cross-request forensics ledger report. Each
+// evaluation is folded into the ledger before its response is sent, so
+// a fixed request sequence always reports identical bytes.
 func (s *Server) handleLedgerz(w http.ResponseWriter, _ *http.Request) {
 	if s.plane == nil {
 		s.writeError(w, errf(CodeTelemetryOff, "ledger requires the telemetry plane (start with telemetry enabled)"))
 		return
 	}
-	s.plane.Barrier()
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	if err := s.plane.Ledger.WriteJSON(w); err != nil {

@@ -56,7 +56,7 @@ func TestMetricszSelfChecks(t *testing.T) {
 	for _, want := range []string{
 		"jsk_serve_admitted", "jsk_serve_rejected", "jsk_serve_pool",
 		"jsk_kernel_requests", "jsk_kernel_dispatch_latency_seconds", "jsk_kernel_api_enqueues",
-		"jsk_span_phase_seconds", "jsk_spans", "jsk_telemetry_flush_items", "jsk_ledger_observed_requests",
+		"jsk_span_phase_seconds", "jsk_spans", "jsk_events_published", "jsk_ledger_observed_requests",
 	} {
 		if _, ok := byName[want]; !ok {
 			t.Errorf("family %s missing from exposition", want)
@@ -86,17 +86,69 @@ func TestMetricszSelfChecks(t *testing.T) {
 }
 
 // TestStatszGolden pins the /statsz wire format byte-for-byte on a
-// fresh, idle server: a field rename, reorder or type change is a
-// breaking change for scrapers and must show up here.
+// fresh, idle server, with the plane off and on: a field rename,
+// reorder or type change is a breaking change for scrapers and must
+// show up here. The plane-on row pins the kernel block's field names
+// and order.
 func TestStatszGolden(t *testing.T) {
-	s := newTestServer(t, Config{Pool: 2, QueueDepth: 8})
-	w := getPath(t, s, "/statsz")
-	if w.Code != http.StatusOK {
-		t.Fatalf("statsz: %d", w.Code)
+	const service = `{"admitted":0,"completed":0,"rejected_overload":0,"rejected_draining":0,"rejected_breaker":0,"rejected_bad_request":0,"deadline_exceeded":0,"canceled":0,"internal_errors":0,"env_replaced":0,"queue_depth":0,"pool":2,"draining":false,"ewma_service_ms":0`
+	for _, tc := range []struct {
+		name   string
+		cfg    Config
+		golden string
+	}{
+		{"plane off", Config{Pool: 2, QueueDepth: 8}, service + "}\n"},
+		{"plane on", Config{Pool: 2, QueueDepth: 8, Telemetry: true}, service +
+			`,"kernel":{"runs":0,"installs":0,"enqueued":0,"dispatched":0,"shed":0,"cancelled":0,"expired":0,"panics":0,"quarantines":0,"policy_decisions":0,"interpose_crossings":0,"interpose_virtual":0}}` + "\n"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newTestServer(t, tc.cfg)
+			w := getPath(t, s, "/statsz")
+			if w.Code != http.StatusOK {
+				t.Fatalf("statsz: %d", w.Code)
+			}
+			if got := w.Body.String(); got != tc.golden {
+				t.Fatalf("statsz wire format changed:\n got: %s\nwant: %s", got, tc.golden)
+			}
+		})
 	}
-	const golden = `{"admitted":0,"completed":0,"rejected_overload":0,"rejected_draining":0,"rejected_breaker":0,"rejected_bad_request":0,"deadline_exceeded":0,"canceled":0,"internal_errors":0,"env_replaced":0,"queue_depth":0,"pool":2,"draining":false,"ewma_service_ms":0}` + "\n"
-	if got := w.Body.String(); got != golden {
-		t.Fatalf("statsz wire format changed:\n got: %s\nwant: %s", got, golden)
+}
+
+// TestKernelFoldSkipsAbandonedRuns: a run canceled mid-flight is
+// discarded whole, so neither /statsz kernel.runs nor /metricsz
+// jsk_kernel_requests counts it — the two read the same fold.
+func TestKernelFoldSkipsAbandonedRuns(t *testing.T) {
+	const slowSeed = 77
+	s := newTestServer(t, Config{Pool: 1, Telemetry: true, FaultHook: func(req *Request, polls int) {
+		if req.Seed == slowSeed && polls == 1 {
+			time.Sleep(200 * time.Millisecond)
+		}
+	}})
+	w := postEval(t, s, fmt.Sprintf(`{"attack":"loopscan","defense":"jskernel-chrome","seed":%d,"reps":1,"deadline_ms":20}`, slowSeed))
+	if w.Code != http.StatusGatewayTimeout {
+		t.Fatalf("slow request: status %d, want 504: %s", w.Code, w.Body.String())
+	}
+	// Pool 1: this request is served only after the abandoned run has
+	// left the worker.
+	if w := postEval(t, s, `{"attack":"loopscan","defense":"jskernel-chrome","seed":1,"reps":1}`); w.Code != http.StatusOK {
+		t.Fatalf("normal request: %d", w.Code)
+	}
+	var snap Stats
+	if err := json.Unmarshal(getPath(t, s, "/statsz").Body.Bytes(), &snap); err != nil {
+		t.Fatal(err)
+	}
+	fams, err := telemetry.ParseExposition(getPath(t, s, "/metricsz").Body.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var requests float64 = -1
+	for _, f := range fams {
+		if f.Name == "jsk_kernel_requests" && len(f.Samples) == 1 {
+			requests = f.Samples[0].Value
+		}
+	}
+	if snap.Kernel == nil || snap.Kernel.Runs != 1 || requests != 1 {
+		t.Fatalf("kernel folds: statsz runs=%+v, jsk_kernel_requests=%v; want both 1", snap.Kernel, requests)
 	}
 }
 
@@ -186,34 +238,40 @@ func TestTraceQueryParam(t *testing.T) {
 }
 
 // TestResponseDeterminismAcrossPlaneModes extends the telemetry
-// byte-identity pin to the full plane matrix: off, batched, sync. The
-// wall clock only exists on the serve/telemetry side of the boundary,
-// so the same request must return identical bytes under every mode at
-// any time — this is the lint boundary test backing the detwalltime
-// allowlist extension.
+// byte-identity pin to the plane on and off. The wall clock only
+// exists on the serve/telemetry side of the boundary, so the same
+// request must return identical bytes under either mode at any time —
+// this is the lint boundary test backing the detwalltime allowlist
+// extension. The trace-only rows run the obs-record strip: the plane
+// forces obs events on, and a request that asked for a trace but not
+// forensics must still read exactly as it does with the plane off.
 func TestResponseDeterminismAcrossPlaneModes(t *testing.T) {
-	body := `{"attack":"loopscan","defense":"jskernel-chrome","seed":11,"reps":2,"forensics":true,"tenant":"t-a"}`
-	configs := []Config{
-		{Pool: 1},
-		{Pool: 1, Telemetry: true},
-		{Pool: 1, Telemetry: true, TelemetrySync: true},
-	}
-	var want []byte
-	for i, cfg := range configs {
-		s := newTestServer(t, cfg)
-		for rep := 0; rep < 2; rep++ {
-			w := postEval(t, s, body)
-			if w.Code != http.StatusOK {
-				t.Fatalf("config %d rep %d: %d", i, rep, w.Code)
+	for _, tc := range []struct {
+		name, body string
+	}{
+		{"forensics", `{"attack":"loopscan","defense":"jskernel-chrome","seed":11,"reps":2,"forensics":true,"tenant":"t-a"}`},
+		{"trace-only timing", `{"attack":"loopscan","defense":"jskernel-chrome","seed":11,"reps":2,"trace":true}`},
+		{"trace-only cve", `{"attack":"CVE-2018-5092","defense":"chrome","seed":3,"trace":true}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var want []byte
+			for i, cfg := range []Config{{Pool: 1}, {Pool: 1, Telemetry: true}} {
+				s := newTestServer(t, cfg)
+				for rep := 0; rep < 2; rep++ {
+					w := postEval(t, s, tc.body)
+					if w.Code != http.StatusOK {
+						t.Fatalf("config %d rep %d: %d", i, rep, w.Code)
+					}
+					if want == nil {
+						want = append([]byte(nil), w.Body.Bytes()...)
+						continue
+					}
+					if !bytes.Equal(w.Body.Bytes(), want) {
+						t.Fatalf("config %d rep %d diverged: plane mode leaked into response bytes", i, rep)
+					}
+				}
 			}
-			if want == nil {
-				want = append([]byte(nil), w.Body.Bytes()...)
-				continue
-			}
-			if !bytes.Equal(w.Body.Bytes(), want) {
-				t.Fatalf("config %d rep %d diverged: plane mode leaked into response bytes", i, rep)
-			}
-		}
+		})
 	}
 }
 
@@ -261,7 +319,6 @@ func TestStreamingForensicsAgreement(t *testing.T) {
 		}
 		bodies = append(bodies, resp.Forensics)
 	}
-	s.Plane().Barrier()
 	evs, gap := s.Plane().Hub.Since(0, 0)
 	if gap != nil {
 		t.Fatalf("gap on fresh hub: %+v", gap)
@@ -327,7 +384,6 @@ func TestLedgerCampaignFixture(t *testing.T) {
 	if resp.Forensics == nil || resp.Forensics.Flagged {
 		t.Fatalf("defended probe flagged per-request: %+v — fixture requires per-request clean", resp.Forensics)
 	}
-	s.Plane().Barrier()
 	if got := s.Plane().Ledger.Campaigns(); got != 0 {
 		t.Fatalf("campaign flagged after a single request (%d) — MinRequests guard failed", got)
 	}
@@ -347,7 +403,6 @@ func TestLedgerCampaignFixture(t *testing.T) {
 			t.Fatalf("probe %d flagged per-request; the fixture must stay under per-request thresholds", i)
 		}
 	}
-	s.Plane().Barrier()
 	if got := s.Plane().Ledger.Campaigns(); got == 0 {
 		rep := s.Plane().Ledger.Report()
 		t.Fatalf("campaign not flagged after %d probe requests; ledger: %+v", n, rep)

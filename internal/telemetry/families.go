@@ -33,16 +33,11 @@ func (a *KernelAggregate) Families() []Family {
 	return fams
 }
 
-// Families renders the plane's own health: flusher batching counters,
-// hub publish/eviction counters, and ledger totals.
+// Families renders the plane's own health: hub publish/eviction
+// counters and ledger totals.
 func (p *Plane) Families() []Family {
-	batches, items, syncApplied, syncFallbacks := p.FlushStats()
 	published, evicted := p.Hub.Counts()
 	fams := []Family{
-		Counter("jsk_telemetry_flush_batches", "Flusher batches applied.", batches),
-		Counter("jsk_telemetry_flush_items", "Telemetry items applied (batched or inline).", items),
-		Counter("jsk_telemetry_inline_applies", "Items applied inline (sync mode or closed plane).", syncApplied),
-		Counter("jsk_telemetry_inline_fallbacks", "Items applied inline because the flusher queue was full.", syncFallbacks),
 		LabeledCounter("jsk_events_published", "Events published to the hub per type.", "type", published),
 		Counter("jsk_events_evicted", "Events evicted from the hub replay ring.", evicted),
 		Counter("jsk_ledger_observed_requests", "Requests folded into the forensics ledger.", p.Ledger.observedCount()),

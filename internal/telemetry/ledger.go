@@ -130,8 +130,8 @@ type ledgerEntry struct {
 const ledgerEvidenceCap = 8
 
 // Ledger accumulates fragments across requests. Observe is serialized
-// by the plane's flusher (or by the caller in sync mode); the mutex
-// exists for concurrent Report/WriteJSON snapshots.
+// by the plane's apply lock; the mutex exists for concurrent
+// Report/WriteJSON snapshots.
 type Ledger struct {
 	cfg LedgerConfig
 

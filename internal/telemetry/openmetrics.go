@@ -1,7 +1,7 @@
 // Package telemetry is the service's live observability plane: an
-// OpenMetrics text exposition with its own self-check parser, a
-// bounded batching flusher that amortizes per-request telemetry work,
-// a resumable server-sent-event hub for streaming forensics, and a
+// OpenMetrics text exposition with its own self-check parser, one
+// inline apply path that folds per-request telemetry under a single
+// lock, a resumable server-sent-event hub for streaming forensics, and a
 // cross-request forensics ledger that accumulates per-request
 // signature fragments with decay to catch slow multi-request probe
 // campaigns no single-request detector can see.

@@ -2,25 +2,12 @@ package telemetry
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"jskernel/internal/trace"
 )
 
 // PlaneConfig tunes the observability plane.
 type PlaneConfig struct {
-	// QueueDepth bounds the flusher queue. A full queue never blocks and
-	// never drops: the submitter applies its item inline (counted as a
-	// sync fallback) so eval workers stay wait-free and no telemetry is
-	// lost. Default 256.
-	QueueDepth int
-	// BatchMax bounds how many queued items one flush folds under a
-	// single aggregate-lock acquisition. Default 64.
-	BatchMax int
-	// Sync disables the flusher entirely: every submission applies
-	// inline. This is the un-batched baseline jsk-bench compares the
-	// flusher against; production keeps it off.
-	Sync bool
 	// EventRing is the hub's replay ring capacity. Default 1024.
 	EventRing int
 	// Ledger tunes the cross-request forensics ledger.
@@ -30,8 +17,8 @@ type PlaneConfig struct {
 // EvalRecord is the worker-side telemetry of one evaluation: the
 // kernel metrics registry to aggregate, the forensic payload to
 // stream, and the signature fragments to feed the ledger. It is pure
-// data — fully assembled on the worker, applied and published by the
-// flusher later — so batching never delays the response itself.
+// data, fully assembled on the worker after the response is decided,
+// so applying it can not change what the client receives.
 type EvalRecord struct {
 	RequestID string
 	Tenant    string
@@ -47,16 +34,9 @@ type EvalRecord struct {
 	Fragments []ClassFragment
 }
 
-// item travels through the flusher queue.
-type item struct {
-	eval    *EvalRecord
-	span    *Span
-	barrier chan struct{}
-}
-
 // KernelAggregate is the cross-request fold of per-session kernel
-// metrics registries: the same totals /statsz reported since PR 6,
-// plus the distributions — dispatch-latency histogram, per-API
+// metrics registries: the totals /statsz reports, plus the
+// distributions — dispatch-latency histogram, per-API
 // enqueue counters, queue-depth high water — that the OpenMetrics
 // exposition needs and a scalar fold cannot carry.
 type KernelAggregate struct {
@@ -131,192 +111,79 @@ func (a *KernelAggregate) clone() KernelAggregate {
 }
 
 // Plane is the live observability plane jsk-serve mounts when
-// telemetry is on: one batching flusher, one kernel aggregate, one
-// span aggregate, one event hub, one ledger.
+// telemetry is on: one kernel aggregate, one span aggregate, one event
+// hub, one ledger.
 //
-// Submission is wait-free for eval workers: items go through a bounded
-// queue drained in batches by a single flusher goroutine, and when the
-// queue is full (or the plane is closed, or Sync is set) the submitter
-// applies the item inline instead — telemetry is never dropped and
-// never blocks an evaluation, which is the flusher half of the chaos
-// SLO. Scrapes read the aggregates under their own mutex and never
-// touch the queue, so a scrape cannot block eval either.
+// Every submission applies inline on the submitting goroutine under
+// one plane lock: fold the aggregates, observe the ledger, publish the
+// events. The apply costs microseconds against an evaluation's
+// milliseconds, so there is nothing to hide behind a queue, and holding
+// one lock across the fold and the publishes keeps hub event order
+// equal to fold order. Snapshots take the same lock; a scrape waits at
+// most one apply and never blocks an evaluation for longer.
 type Plane struct {
 	Hub    *Hub
 	Ledger *Ledger
 
-	cfg PlaneConfig
-
-	mu     sync.Mutex // guards ch send vs. close
-	ch     chan item
-	closed bool
-	done   chan struct{}
-
-	aggMu  sync.Mutex
+	mu     sync.Mutex
 	kernel KernelAggregate
 	spans  SpanStats
-
-	flushBatches  atomic.Uint64
-	flushItems    atomic.Uint64
-	syncApplied   atomic.Uint64 // inline applications (Sync mode or closed plane)
-	syncFallbacks atomic.Uint64 // inline applications forced by a full queue
 }
 
-// NewPlane builds and starts the plane. Callers must Close it.
+// NewPlane builds the plane. Callers must Close it.
 func NewPlane(cfg PlaneConfig) *Plane {
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 256
-	}
-	if cfg.BatchMax <= 0 {
-		cfg.BatchMax = 64
-	}
-	p := &Plane{
+	return &Plane{
 		Hub:    NewHub(cfg.EventRing),
 		Ledger: NewLedger(cfg.Ledger),
-		cfg:    cfg,
-		ch:     make(chan item, cfg.QueueDepth),
-		done:   make(chan struct{}),
 	}
-	if !cfg.Sync {
-		p.start()
-	}
-	return p
 }
 
-// start launches the flusher goroutine. It is the telemetry plane's
-// only goroutine, it owns no simulator or kernel state — items are
-// pure data handed over the channel — and Close joins it before the
-// hub shuts, so nothing outlives the plane. Audited in jsk-lint's
-// goroutinescope sanction table.
-func (p *Plane) start() {
-	go func() {
-		defer close(p.done)
-		for it := range p.ch {
-			batch := make([]item, 1, p.cfg.BatchMax)
-			batch[0] = it
-		drain:
-			for len(batch) < p.cfg.BatchMax {
-				select {
-				case more, ok := <-p.ch:
-					if !ok {
-						break drain
-					}
-					batch = append(batch, more)
-				default:
-					break drain
-				}
-			}
-			p.applyBatch(batch)
-		}
-	}()
-}
-
-// SubmitEval hands one evaluation record to the plane.
-func (p *Plane) SubmitEval(rec *EvalRecord) { p.submit(item{eval: rec}) }
-
-// SubmitSpan hands one completed request span to the plane.
-func (p *Plane) SubmitSpan(sp *Span) { p.submit(item{span: sp}) }
-
-// Barrier blocks until every item submitted before it has been
-// applied. Tests and scrapers that need settled aggregates call this;
-// the serving path never does.
-func (p *Plane) Barrier() {
-	ch := make(chan struct{})
-	p.submit(item{barrier: ch})
-	<-ch
-}
-
-// submit enqueues an item, falling back to inline application when the
-// queue is full, the plane is closed, or Sync mode is on. The inline
-// path applies the same code the flusher runs, so ordering is the only
-// thing batching changes — never content.
-func (p *Plane) submit(it item) {
+// SubmitEval folds one evaluation record into the kernel aggregate and
+// the ledger, then publishes its forensic verdict and any campaign
+// findings it completed.
+func (p *Plane) SubmitEval(rec *EvalRecord) {
 	p.mu.Lock()
-	if p.closed || p.cfg.Sync {
-		p.mu.Unlock()
-		p.syncApplied.Add(1)
-		p.applyBatch([]item{it})
-		return
+	defer p.mu.Unlock()
+	p.kernel.fold(rec.Metrics)
+	if rec.Forensics != nil {
+		p.Hub.Publish(EventForensics, rec.Forensics)
 	}
-	select {
-	case p.ch <- it:
-		p.mu.Unlock()
-	default:
-		p.mu.Unlock()
-		p.syncFallbacks.Add(1)
-		p.applyBatch([]item{it})
+	for _, c := range p.Ledger.Observe(rec.RequestID, rec.Tenant, rec.Scope, rec.Fragments) {
+		p.Hub.Publish(EventCampaign, c)
 	}
 }
 
-// applyBatch folds a batch under one aggregate-lock acquisition, then
-// publishes the batch's events in submission order.
-func (p *Plane) applyBatch(batch []item) {
-	p.flushBatches.Add(1)
-	p.flushItems.Add(uint64(len(batch)))
-	p.aggMu.Lock()
-	for _, it := range batch {
-		if it.eval != nil {
-			p.kernel.fold(it.eval.Metrics)
-		}
-		if it.span != nil {
-			p.spans.Fold(it.span)
-		}
-	}
-	p.aggMu.Unlock()
-	for _, it := range batch {
-		switch {
-		case it.eval != nil:
-			rec := it.eval
-			if rec.Forensics != nil {
-				p.Hub.Publish(EventForensics, rec.Forensics)
-			}
-			for _, c := range p.Ledger.Observe(rec.RequestID, rec.Tenant, rec.Scope, rec.Fragments) {
-				p.Hub.Publish(EventCampaign, c)
-			}
-		case it.span != nil:
-			p.Hub.Publish(EventSpan, it.span)
-		case it.barrier != nil:
-			close(it.barrier)
-		}
-	}
+// SubmitSpan folds one completed request span and publishes it.
+func (p *Plane) SubmitSpan(sp *Span) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.spans.Fold(sp)
+	p.Hub.Publish(EventSpan, sp)
 }
 
-// KernelSnapshot returns a settled copy of the kernel aggregate.
+// Barrier waits out the apply in progress, if any. A submission that
+// has returned is already applied, so only callers racing concurrent
+// submitters need it.
+func (p *Plane) Barrier() {
+	p.mu.Lock()
+	p.mu.Unlock()
+}
+
+// KernelSnapshot returns a copy of the kernel aggregate.
 func (p *Plane) KernelSnapshot() KernelAggregate {
-	p.aggMu.Lock()
-	defer p.aggMu.Unlock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	return p.kernel.clone()
 }
 
 // SpanSnapshot returns a copy of the span aggregate.
 func (p *Plane) SpanSnapshot() SpanStats {
-	p.aggMu.Lock()
-	defer p.aggMu.Unlock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	return p.spans
 }
 
-// FlushStats reports the flusher's batching counters: batches, items,
-// inline applications (sync mode/closed) and full-queue fallbacks.
-func (p *Plane) FlushStats() (batches, items, syncApplied, syncFallbacks uint64) {
-	return p.flushBatches.Load(), p.flushItems.Load(), p.syncApplied.Load(), p.syncFallbacks.Load()
-}
-
-// Close drains the queue, stops the flusher, and closes the hub so
-// subscribers end their streams. Submissions after Close apply inline;
-// their events are counted as after-close publishes. Idempotent.
-func (p *Plane) Close() {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return
-	}
-	p.closed = true
-	if !p.cfg.Sync {
-		close(p.ch)
-	}
-	p.mu.Unlock()
-	if !p.cfg.Sync {
-		<-p.done
-	}
-	p.Hub.Close()
-}
+// Close closes the hub so subscribers end their streams. Submissions
+// after Close still fold; their events are counted as after-close
+// publishes. Idempotent.
+func (p *Plane) Close() { p.Hub.Close() }
